@@ -27,7 +27,11 @@
 #                         BENCH_serve.json
 #   make bench-batch      batched-vs-scalar leapfrog on the adversarial
 #                         run workloads (dense runs, sparse tails,
-#                         selective joins), writing BENCH_batch_leap.json
+#                         selective joins), re-recording the committed
+#                         BENCH_batch_leap.json
+#   make bench-batch-smoke  the same sweep writing to a temp file, so
+#                         `make check` runs it without touching the
+#                         committed record
 #   make bench-mmap-load  cold-start load comparison, decode vs mmap
 #                         (wall + peak RSS, fresh process per run),
 #                         writing BENCH_mmap_load.json
@@ -45,15 +49,15 @@
 #   make race-batch  batched lane (wavelet/ring/ltj) under -race with the
 #               ringdebug assertions enabled
 #   make check  fmt + vet + lint + build + test + test-debug + race +
-#               race-batch + bench-smoke + bench-batch + serve-smoke +
+#               race-batch + bench-smoke + bench-batch-smoke + serve-smoke +
 #               persist-smoke + mmap-smoke + repl-smoke
 
 GO ?= go
 BENCH_COUNT ?= 1
 
-.PHONY: check fmt vet lint lint-only build test test-debug race race-batch bench bench-smoke bench-substrate bench-serve bench-batch bench-mmap-load serve-smoke persist-smoke mmap-smoke repl-smoke
+.PHONY: check fmt vet lint lint-only build test test-debug race race-batch bench bench-smoke bench-substrate bench-serve bench-batch bench-batch-smoke bench-mmap-load serve-smoke persist-smoke mmap-smoke repl-smoke
 
-check: fmt vet lint build test test-debug race race-batch bench-smoke bench-batch serve-smoke persist-smoke mmap-smoke repl-smoke
+check: fmt vet lint build test test-debug race race-batch bench-smoke bench-batch-smoke serve-smoke persist-smoke mmap-smoke repl-smoke
 
 fmt:
 	@unformatted=$$(gofmt -s -l .); \
@@ -108,6 +112,10 @@ bench-serve:
 bench-batch:
 	BENCH_BATCH_JSON=$(CURDIR)/BENCH_batch_leap.json \
 		$(GO) test -run TestRecordBatchLeapBench ./internal/ring
+
+bench-batch-smoke:
+	BENCH_BATCH_JSON=$${TMPDIR:-/tmp}/BENCH_batch_leap.check.json \
+		$(GO) test -count=1 -run TestRecordBatchLeapBench ./internal/ring
 
 bench-mmap-load:
 	$(GO) run ./cmd/benchload -json $(CURDIR)/BENCH_mmap_load.json

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"syscall"
@@ -368,14 +369,18 @@ func TestReplCrashConvergence(t *testing.T) {
 			return nil, fmt.Errorf("dump: status %d: %s", resp.StatusCode, b)
 		}
 		var qr struct {
-			Solutions []map[string]string `json:"solutions"`
+			Vars []string   `json:"vars"`
+			Rows [][]string `json:"rows"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 			return nil, err
 		}
-		out := make([][3]string, len(qr.Solutions))
-		for i, s := range qr.Solutions {
-			out[i] = [3]string{s["s"], s["p"], s["o"]}
+		if !reflect.DeepEqual(qr.Vars, []string{"s", "p", "o"}) {
+			return nil, fmt.Errorf("dump: columns %v, want [s p o]", qr.Vars)
+		}
+		out := make([][3]string, len(qr.Rows))
+		for i, row := range qr.Rows {
+			out[i] = [3]string{row[0], row[1], row[2]}
 		}
 		sort.Slice(out, func(i, j int) bool {
 			a, b := out[i], out[j]

@@ -172,19 +172,42 @@ func (d *Dictionary) DecodeP(id graph.ID) (string, bool) {
 // variables are those listed in predVars; everything else decodes in the
 // subject/object space.
 func (d *Dictionary) DecodeBinding(b graph.Binding, predVars map[string]bool) map[string]string {
+	return d.Terms().DecodeBinding(b, predVars)
+}
+
+// Terms is a point-in-time view of a dictionary's two term tables. The
+// tables are append-only — AddSO/AddP only ever write past the end of
+// the view — so a Terms taken under the owner's lock stays valid and
+// race-free after the lock is released, however many terms are added
+// meanwhile. A view of a View-loaded dictionary aliases the mapped bytes
+// and must not outlive them.
+type Terms struct {
+	so, p []string
+}
+
+// Terms snapshots the term tables. Callers that share a growing
+// dictionary take it under the same lock that serializes AddSO/AddP.
+func (d *Dictionary) Terms() Terms { return Terms{so: d.so, p: d.p} }
+
+// Decode returns the term of id in the predicate space when pred is set,
+// else in the subject/object space. An ID outside the view renders as
+// "#<id>".
+func (t Terms) Decode(id graph.ID, pred bool) string {
+	tab := t.so
+	if pred {
+		tab = t.p
+	}
+	if int(id) < len(tab) {
+		return tab[id]
+	}
+	return "#" + strconv.FormatUint(uint64(id), 10)
+}
+
+// DecodeBinding is Dictionary.DecodeBinding over the snapshot.
+func (t Terms) DecodeBinding(b graph.Binding, predVars map[string]bool) map[string]string {
 	out := make(map[string]string, len(b))
 	for k, v := range b {
-		var s string
-		var ok bool
-		if predVars[k] {
-			s, ok = d.DecodeP(v)
-		} else {
-			s, ok = d.DecodeSO(v)
-		}
-		if !ok {
-			s = fmt.Sprintf("#%d", v)
-		}
-		out[k] = s
+		out[k] = t.Decode(v, predVars[k])
 	}
 	return out
 }

@@ -760,12 +760,20 @@ func (db *DB) Compile(q []wcoring.PatternString) (graph.Pattern, map[string]bool
 	return wcoring.CompilePatterns(db.d, q)
 }
 
-// DecodeBinding renders a solution back to strings under the dictionary
-// read lock.
+// DecodeBinding renders a solution back to strings from one term-table
+// snapshot (see Terms).
 func (db *DB) DecodeBinding(b graph.Binding, predVars map[string]bool) map[string]string {
+	return db.Terms().DecodeBinding(b, predVars)
+}
+
+// Terms snapshots the dictionary's term tables under one brief read
+// lock. The tables are append-only, so the snapshot decodes every ID
+// visible in any store snapshot pinned before the call, and decoding
+// from it never blocks a writer.
+func (db *DB) Terms() dict.Terms {
 	db.dictMu.RLock()
 	defer db.dictMu.RUnlock()
-	return db.d.DecodeBinding(b, predVars)
+	return db.d.Terms()
 }
 
 // CheckpointError returns the last background checkpoint failure, if

@@ -5,13 +5,15 @@ import (
 	"sync"
 )
 
-// resultCache is a size-bounded LRU over decoded query results, keyed on
-// the canonical query form (query.Select.CacheKey, so syntactic variants
-// of the same BGP share an entry). Bounded twice: by entry count and by an
-// approximate byte footprint, whichever trips first. The ring is immutable
-// once loaded, so entries never go stale by themselves; invalidate is the
-// hook a future dynamic store (or an index reload) calls to drop the
-// generation wholesale.
+// resultCache is a size-bounded LRU over encoded query results — the
+// rows fragment of the response body (encode.go) — keyed on the
+// canonical query form (query.Select.CacheKey, so syntactic variants of
+// the same BGP share an entry). Bounded twice: by entry count and by
+// bytes, whichever trips first. An entry's bytes are exact: its key,
+// its body, and a fixed per-entry overhead (entryOverhead). The ring is
+// immutable once loaded, so entries never go stale by themselves;
+// invalidate is the hook a future dynamic store (or an index reload)
+// calls to drop the generation wholesale.
 type resultCache struct {
 	mu         sync.Mutex
 	maxEntries int                      // immutable after construction
@@ -25,9 +27,13 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key  string
-	sols []map[string]string
+	body []byte
 	size int64
 }
+
+// entryOverhead is the fixed bookkeeping of one entry: the cacheEntry,
+// its list element, and its map slot.
+const entryOverhead = 128
 
 // cacheStats is a point-in-time snapshot of the cache counters.
 type cacheStats struct {
@@ -48,10 +54,10 @@ func newResultCache(maxEntries int, maxBytes int64) *resultCache {
 	}
 }
 
-// get returns the cached solutions and marks the entry most-recently-used.
-// Callers must treat the returned slice as immutable — it is shared with
-// every other hit for the same key.
-func (c *resultCache) get(key string) ([]map[string]string, bool) {
+// get returns the cached body and marks the entry most-recently-used.
+// Callers must treat the returned bytes as immutable — they are shared
+// with every other hit for the same key.
+func (c *resultCache) get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	elem, ok := c.items[key]
@@ -61,14 +67,14 @@ func (c *resultCache) get(key string) ([]map[string]string, bool) {
 	}
 	c.hits++
 	c.ll.MoveToFront(elem)
-	return elem.Value.(*cacheEntry).sols, true
+	return elem.Value.(*cacheEntry).body, true
 }
 
 // put inserts (or refreshes) an entry and evicts from the LRU tail until
 // both bounds hold again. Entries bigger than the byte bound are not
 // cached at all.
-func (c *resultCache) put(key string, sols []map[string]string) {
-	size := entrySize(key, sols)
+func (c *resultCache) put(key string, body []byte) {
+	size := int64(len(key)+len(body)) + entryOverhead
 	if c.maxBytes > 0 && size > c.maxBytes {
 		return
 	}
@@ -77,10 +83,10 @@ func (c *resultCache) put(key string, sols []map[string]string) {
 	if elem, ok := c.items[key]; ok {
 		old := elem.Value.(*cacheEntry)
 		c.bytes += size - old.size
-		old.sols, old.size = sols, size
+		old.body, old.size = body, size
 		c.ll.MoveToFront(elem)
 	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, sols: sols, size: size})
+		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body, size: size})
 		c.bytes += size
 	}
 	for c.ll.Len() > 0 &&
@@ -113,18 +119,4 @@ func (c *resultCache) stats() cacheStats {
 		Evictions: c.evictions, Invalidations: c.invalidations,
 		Entries: c.ll.Len(), Bytes: c.bytes,
 	}
-}
-
-// entrySize approximates the resident footprint of one entry: string
-// bytes plus per-map and per-header overheads. It only needs to be
-// consistent, not exact — the bound is a sizing knob, not an accountant.
-func entrySize(key string, sols []map[string]string) int64 {
-	size := int64(len(key)) + 64
-	for _, sol := range sols {
-		size += 48
-		for k, v := range sol {
-			size += int64(len(k)) + int64(len(v)) + 32
-		}
-	}
-	return size
 }

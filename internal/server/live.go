@@ -11,6 +11,7 @@ import (
 	"time"
 
 	wcoring "repro"
+	"repro/internal/dict"
 	"repro/internal/graph"
 	"repro/internal/ltj"
 	"repro/internal/persist"
@@ -25,11 +26,14 @@ import (
 
 // index is what the query path needs from either mode: pattern
 // compilation against the (possibly growing) dictionary, a pinned
-// iterator source for one evaluation, result decoding, and a cache-key
-// prefix that changes whenever results could.
+// iterator source for one evaluation, the term tables results decode
+// from, and a cache-key prefix that changes whenever results could.
 type index interface {
 	Compile(q []wcoring.PatternString) (graph.Pattern, map[string]bool, bool, error)
-	DecodeBinding(b graph.Binding, predVars map[string]bool) map[string]string
+	// Terms snapshots the dictionary's term tables, once per response.
+	// Taken after evaluation, it decodes every ID the evaluation's
+	// pinned view could produce.
+	Terms() dict.Terms
 	// PatternIters pins a consistent view and returns the per-pattern
 	// iterator factory over it; all iterators of one evaluation must come
 	// from one call.
@@ -48,9 +52,7 @@ func (x staticIndex) Compile(q []wcoring.PatternString) (graph.Pattern, map[stri
 	return x.st.Compile(q)
 }
 
-func (x staticIndex) DecodeBinding(b graph.Binding, predVars map[string]bool) map[string]string {
-	return x.st.Dictionary().DecodeBinding(b, predVars)
-}
+func (x staticIndex) Terms() dict.Terms { return x.st.Dictionary().Terms() }
 
 func (x staticIndex) PatternIters() func(tp graph.TriplePattern) ltj.PatternIter {
 	rg := x.st.Ring()
@@ -66,9 +68,7 @@ func (x liveIndex) Compile(q []wcoring.PatternString) (graph.Pattern, map[string
 	return x.db.Compile(q)
 }
 
-func (x liveIndex) DecodeBinding(b graph.Binding, predVars map[string]bool) map[string]string {
-	return x.db.DecodeBinding(b, predVars)
-}
+func (x liveIndex) Terms() dict.Terms { return x.db.Terms() }
 
 func (x liveIndex) PatternIters() func(tp graph.TriplePattern) ltj.PatternIter {
 	snap := x.db.Snapshot()

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -343,5 +344,86 @@ func TestLiveStatsAndMetrics(t *testing.T) {
 		if !strings.Contains(metrics, series) {
 			t.Errorf("/metrics missing %s", series)
 		}
+	}
+}
+
+// TestLiveEncodeDuringInserts: a large live query encodes its rows from
+// one term-table snapshot while concurrent /inserts append new terms to
+// both dictionary spaces. Under -race this checks the snapshot is read
+// without a data race and without holding the dictionary lock; in every
+// mode each row must decode (no "#<id>" placeholder) to a triple that was
+// inserted.
+func TestLiveEncodeDuringInserts(t *testing.T) {
+	_, ts, _ := newLiveServer(t, persist.Options{})
+	const base = 20000
+	for b := 0; b < base/maxMutationTriples; b++ {
+		ops := make([]TripleJSON, maxMutationTriples)
+		for i := range ops {
+			n := b*maxMutationTriples + i
+			ops[i] = TripleJSON{S: fmt.Sprintf("s%d", n), P: fmt.Sprintf("p%d", n%7), O: fmt.Sprintf("o%d", n)}
+		}
+		if _, code := postMutation(t, ts, "/insert", MutationRequest{Triples: ops}); code != http.StatusOK {
+			t.Fatalf("base insert %d: status %d", b, code)
+		}
+	}
+
+	stop := make(chan struct{})
+	writerErr := make(chan error, 1)
+	go func() {
+		for w := 0; ; w++ {
+			select {
+			case <-stop:
+				writerErr <- nil
+				return
+			default:
+			}
+			ops := make([]TripleJSON, 50)
+			for i := range ops {
+				ops[i] = TripleJSON{S: fmt.Sprintf("ws%d.%d", w, i), P: fmt.Sprintf("wp%d", w), O: fmt.Sprintf("wo%d.%d", w, i)}
+			}
+			body, _ := json.Marshal(MutationRequest{Triples: ops})
+			resp, err := http.Post(ts.URL+"/insert", "application/json", bytes.NewReader(body))
+			if err != nil {
+				writerErr <- err
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				writerErr <- fmt.Errorf("concurrent insert %d: status %d", w, resp.StatusCode)
+				return
+			}
+		}
+	}()
+
+	for q := 0; q < 4; q++ {
+		qr, code := postQuery(t, ts, QueryRequest{
+			Pattern: []PatternJSON{{S: "?s", P: "?p", O: "?o"}},
+			Limit:   100000,
+			NoCache: true,
+		})
+		if code != http.StatusOK {
+			t.Fatalf("query %d: status %d", q, code)
+		}
+		if !reflect.DeepEqual(qr.Vars, []string{"s", "p", "o"}) || qr.Count != len(qr.Rows) || qr.Count < base {
+			t.Fatalf("query %d: vars %v, count %d, %d rows", q, qr.Vars, qr.Count, len(qr.Rows))
+		}
+		for _, row := range qr.Rows {
+			s, p, o := row[0], row[1], row[2]
+			var ok bool
+			if n, isBase := strings.CutPrefix(s, "s"); isBase {
+				ok = o == "o"+n && strings.HasPrefix(p, "p")
+			} else if n, isW := strings.CutPrefix(s, "ws"); isW {
+				w, _, _ := strings.Cut(n, ".")
+				ok = o == "wo"+n && p == "wp"+w
+			}
+			if !ok {
+				t.Fatalf("query %d: row %q is no inserted triple", q, row)
+			}
+		}
+	}
+	close(stop)
+	if err := <-writerErr; err != nil {
+		t.Fatal(err)
 	}
 }

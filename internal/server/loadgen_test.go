@@ -114,10 +114,12 @@ func benchServe(b *testing.B, procs, clients int, cache bool, mixName string) {
 			b.Error(err)
 			return 0
 		}
-		io.Copy(io.Discard, resp.Body)
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Errorf("status %d", resp.StatusCode)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Errorf("status %d, err %v", resp.StatusCode, err)
+		} else if !bytes.HasPrefix(body, []byte(`{"vars":[`)) {
+			b.Errorf("not a columnar /query body: %.80s", body)
 		}
 		return time.Since(start)
 	}

@@ -5,32 +5,21 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/persist"
 )
 
-// canonQuery runs an ordered, deterministic query and flattens the
-// solutions for comparison.
+// canonQuery runs a query and renders its solutions as a sorted
+// multiset for comparison.
 func canonQuery(t *testing.T, ts *stServer, pattern []PatternJSON) string {
 	t.Helper()
 	qr, code := postQuery(t, ts.ts, QueryRequest{Pattern: pattern, NoCache: true})
 	if code != http.StatusOK {
 		t.Fatalf("query: status %d", code)
 	}
-	keys := make([]string, 0, len(qr.Solutions))
-	for _, sol := range qr.Solutions {
-		vars := make([]string, 0, len(sol))
-		for k, v := range sol {
-			vars = append(vars, k+"="+v)
-		}
-		sort.Strings(vars)
-		keys = append(keys, strings.Join(vars, ","))
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
+	return fmt.Sprint(canonMaps(qr.solutions()))
 }
 
 type stServer struct {

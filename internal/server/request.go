@@ -10,7 +10,6 @@ import (
 	"time"
 
 	wcoring "repro"
-	"repro/internal/ltj"
 )
 
 // PatternJSON is one triple pattern of a query request; components
@@ -46,17 +45,24 @@ type QueryRequest struct {
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// QueryResponse is the body of a successful /query response.
+// QueryResponse is the body of a successful /query response, in the
+// shape a client decodes it; the server writes it by hand (encode.go).
 type QueryResponse struct {
-	Solutions []map[string]string `json:"solutions"`
-	Count     int                 `json:"count"`
-	ElapsedMS float64             `json:"elapsed_ms"`
-	// Cached is set when the solutions came from the result cache.
+	// Vars names the result columns: the projection, or else every
+	// pattern variable in order of first appearance. A cache hit keeps
+	// the column order of the request that filled the entry, which for
+	// a reordered pattern can differ.
+	Vars []string `json:"vars"`
+	// Rows holds one solution per row, its terms in Vars order.
+	Rows      [][]string `json:"rows"`
+	Count     int        `json:"count"`
+	ElapsedMS float64    `json:"elapsed_ms"`
+	// Cached is set when the rows came from the result cache.
 	Cached bool `json:"cached"`
-	// TimedOut is set when evaluation hit the deadline; Solutions then
-	// holds the partial results found in time.
+	// TimedOut is set when evaluation hit the deadline; Rows then holds
+	// the partial results found in time.
 	TimedOut bool `json:"timed_out,omitempty"`
-	// Shared is set when the solutions came from another request's
+	// Shared is set when the rows came from another request's
 	// shared-scan evaluation (this request attached as a follower).
 	Shared bool `json:"shared,omitempty"`
 	// Stats counts the engine operations of this evaluation (absent on
@@ -64,7 +70,7 @@ type QueryResponse struct {
 	Stats *StatsJSON `json:"stats,omitempty"`
 }
 
-// StatsJSON mirrors ltj.EvalStats for the response body.
+// StatsJSON mirrors ltj.EvalStats in the response body.
 type StatsJSON struct {
 	Leaps        int `json:"leaps"`
 	Binds        int `json:"binds"`
@@ -74,13 +80,6 @@ type StatsJSON struct {
 	// lane's work (DESIGN.md §13); zero when the lane never engaged.
 	BatchDescents int `json:"batch_descents,omitempty"`
 	BatchEmits    int `json:"batch_emits,omitempty"`
-}
-
-func statsJSON(st ltj.EvalStats) *StatsJSON {
-	return &StatsJSON{
-		Leaps: st.Leaps, Binds: st.Binds, Seeks: st.Seeks, Enumerations: st.Enumerations,
-		BatchDescents: st.BatchDescents, BatchEmits: st.BatchEmits,
-	}
 }
 
 // errorResponse is the body of every non-2xx response.
@@ -183,6 +182,28 @@ func (req *QueryRequest) patternStrings() []wcoring.PatternString {
 		out[i] = wcoring.PatternString{S: p.S, P: p.P, O: p.O}
 	}
 	return out
+}
+
+// resultVars names the response columns: the projection when given,
+// else the pattern's variables in order of first appearance — the order
+// graph.Pattern.Vars reports for the compiled pattern, derived here from
+// the request so that an infeasible query, which compiles to nothing,
+// still names its columns.
+func (req *QueryRequest) resultVars() []string {
+	if req.Project != nil {
+		return req.Project
+	}
+	var vars []string
+	seen := map[string]bool{}
+	for _, p := range req.Pattern {
+		for _, c := range [3]string{p.S, p.P, p.O} {
+			if v, ok := strings.CutPrefix(c, "?"); ok && !seen[v] {
+				seen[v] = true
+				vars = append(vars, v)
+			}
+		}
+	}
+	return vars
 }
 
 // effectiveTimeout resolves the request timeout against the server's

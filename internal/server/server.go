@@ -10,7 +10,7 @@
 //
 // The request path is admission → cache → engine:
 //
-//	parse → compile → cache lookup ── hit ──────────────► respond
+//	parse → compile → cache lookup ── hit ──► write cached body
 //	                      │ miss
 //	                      ▼
 //	            admission.acquire (bounded queue; shed 429/503)
@@ -18,7 +18,7 @@
 //	            query.Select.Run (ltj over the shared ring,
 //	                      │        ctx-cancellable, deadline-bounded)
 //	                      ▼
-//	            decode → cache fill → respond
+//	            encode rows → cache body → write
 //
 // The ring's query structures are immutable after load, so queries share
 // the index without locks; all mutable state (cache, counters, admission)
@@ -39,6 +39,7 @@ import (
 	"time"
 
 	wcoring "repro"
+	"repro/internal/dict"
 	"repro/internal/graph"
 	"repro/internal/ltj"
 	"repro/internal/persist"
@@ -526,14 +527,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	p := &queryPlan{vars: req.resultVars(), predVars: predVars, start: start}
 	if !feasible {
 		// A constant is absent from the dictionary: provably no solutions.
 		s.met.queries.get(`outcome="ok"`).inc()
-		s.respond(w, &QueryResponse{Solutions: []map[string]string{}, ElapsedMS: msSince(start)})
+		writeRows(w, encodeRows(p.vars, nil, dict.Terms{}, nil), resultMeta{elapsedMS: msSince(start)})
 		return
 	}
 
-	sel := query.Select{
+	p.sel = query.Select{
 		Pattern:     encoded,
 		Project:     req.Project,
 		Distinct:    req.Distinct,
@@ -543,17 +545,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Timeout:     timeout,
 		Parallelism: s.cfg.Parallelism,
 	}
-	key, cacheable := sel.CacheKey()
+	key, cacheable := p.sel.CacheKey()
 	// In live mode the key carries the store generation: a batch applied
 	// between two identical queries changes the prefix, so stale entries
 	// can never hit (they age out of the LRU instead).
-	key = idx.CachePrefix() + key
-	cacheable = cacheable && s.cache != nil && !req.NoCache
-	if cacheable {
-		if sols, ok := s.cache.get(key); ok {
+	p.cacheKey = idx.CachePrefix() + key
+	p.cacheable = cacheable && s.cache != nil && !req.NoCache
+	if p.cacheable {
+		if body, ok := s.cache.get(p.cacheKey); ok {
 			s.met.queries.get(`outcome="cache_hit"`).inc()
 			s.met.queryDur.observe(time.Since(start))
-			s.respond(w, &QueryResponse{Solutions: sols, Cached: true, ElapsedMS: msSince(start)})
+			writeRows(w, body, resultMeta{elapsedMS: msSince(start), cached: true})
 			return
 		}
 	}
@@ -561,7 +563,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Shared-scan lane: if an identical-pattern evaluation is already in
 	// flight (or other copies of this query are about to arrive), attach
 	// to one group and let a single engine pass serve them all.
-	if s.trySharedScan(w, r, idx, req, sel, key, cacheable, predVars, start) {
+	if s.trySharedScan(w, r, idx, req, p) {
 		return
 	}
 
@@ -592,21 +594,44 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.adm.release(s.weight)
 
 	var st ltj.EvalStats
+	sel := p.sel
 	sel.Stats = &st
 	sel.Context = r.Context()
 	// One iterator source per evaluation: in live mode this pins an epoch
 	// snapshot, so a concurrent flush or merge cannot tear the view.
-	iters := idx.PatternIters()
-	sols, err := sel.Run(ltj.IndexFunc(iters))
-	elapsed := time.Since(start)
+	sols, err := sel.Run(ltj.IndexFunc(idx.PatternIters()))
+	s.recordEval(st)
+	s.respondRows(w, idx, p, sols, err, &st, false)
+}
+
+// queryPlan is one compiled /query request: what the solo and the
+// shared-scan paths need to evaluate it and to encode, cache and write
+// its result.
+type queryPlan struct {
+	sel       query.Select
+	vars      []string        // response columns (QueryRequest.resultVars)
+	predVars  map[string]bool // variables decoded in the predicate space
+	cacheKey  string
+	cacheable bool
+	start     time.Time
+}
+
+// recordEval adds one evaluation's engine counts to the metrics.
+func (s *Server) recordEval(st ltj.EvalStats) {
 	s.met.ltjLeaps.add(int64(st.Leaps))
 	s.met.ltjBinds.add(int64(st.Binds))
 	s.met.ltjSeeks.add(int64(st.Seeks))
 	s.met.ltjEnums.add(int64(st.Enumerations))
 	s.met.ltjBatchDescents.add(int64(st.BatchDescents))
 	s.met.ltjBatchEmits.add(int64(st.BatchEmits))
-	s.met.queryDur.observe(elapsed)
+}
 
+// respondRows is the one response path for an evaluated query, solo or
+// shared-scan member. An engine error other than the deadline becomes
+// its status code; anything else is encode rows → cache body → write.
+// A timed-out partial result is written but never cached.
+func (s *Server) respondRows(w http.ResponseWriter, idx index, p *queryPlan, sols []graph.Binding, err error, st *ltj.EvalStats, shared bool) {
+	s.met.queryDur.observe(time.Since(p.start))
 	timedOut := errors.Is(err, ltj.ErrTimeout)
 	if err != nil && !timedOut {
 		if errors.Is(err, ltj.ErrCancelled) {
@@ -619,25 +644,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-
-	decoded := make([]map[string]string, len(sols))
-	for i, b := range sols {
-		decoded[i] = idx.DecodeBinding(b, predVars)
-	}
-	if cacheable && !timedOut {
-		s.cache.put(key, decoded)
+	body := encodeRows(p.vars, p.predVars, idx.Terms(), sols)
+	if p.cacheable && !timedOut {
+		s.cache.put(p.cacheKey, body)
 	}
 	outcome := `outcome="ok"`
 	if timedOut {
 		outcome = `outcome="timeout"`
 	}
 	s.met.queries.get(outcome).inc()
-	s.respond(w, &QueryResponse{
-		Solutions: decoded,
-		TimedOut:  timedOut,
-		ElapsedMS: msSince(start),
-		Stats:     statsJSON(st),
-	})
+	writeRows(w, body, resultMeta{elapsedMS: msSince(p.start), timedOut: timedOut, shared: shared, stats: st})
 }
 
 // statusClientClosedRequest is nginx's conventional code for "client
@@ -669,14 +685,6 @@ func checkVars(p graph.Pattern, project, orderBy []string, feasible bool) error 
 		}
 	}
 	return nil
-}
-
-func (s *Server) respond(w http.ResponseWriter, resp *QueryResponse) {
-	if resp.Solutions == nil {
-		resp.Solutions = []map[string]string{}
-	}
-	resp.Count = len(resp.Solutions)
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -109,6 +110,26 @@ func postQuery(t testing.TB, ts *httptest.Server, req QueryRequest) (*QueryRespo
 	return &qr, resp.StatusCode
 }
 
+// solutions turns a response's rows back into one variable→term map per
+// row: the shape the tests compare.
+func (qr *QueryResponse) solutions() []map[string]string {
+	out := make([]map[string]string, len(qr.Rows))
+	for i, row := range qr.Rows {
+		m := make(map[string]string, len(row))
+		for j, v := range qr.Vars {
+			m[v] = row[j]
+		}
+		out[i] = m
+	}
+	return out
+}
+
+// sameResult reports whether two responses carry the same columns and
+// the same rows in the same order.
+func sameResult(a, b *QueryResponse) bool {
+	return reflect.DeepEqual(a.Vars, b.Vars) && reflect.DeepEqual(a.Rows, b.Rows)
+}
+
 func getBody(t testing.TB, url string) (string, int) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -139,15 +160,11 @@ func TestQueryPOST(t *testing.T) {
 		{"x": "alice", "y": "bob", "z": "carol"},
 		{"x": "bob", "y": "carol", "z": "dave"},
 	}
-	if qr.Count != 2 || len(qr.Solutions) != 2 {
-		t.Fatalf("count = %d, solutions = %v", qr.Count, qr.Solutions)
+	if !reflect.DeepEqual(qr.Vars, []string{"x", "y", "z"}) {
+		t.Fatalf("vars = %v, want [x y z]", qr.Vars)
 	}
-	for i, w := range want {
-		for k, v := range w {
-			if qr.Solutions[i][k] != v {
-				t.Fatalf("solution %d = %v, want %v", i, qr.Solutions[i], w)
-			}
-		}
+	if qr.Count != 2 || !reflect.DeepEqual(qr.solutions(), want) {
+		t.Fatalf("count = %d, rows = %v, want %v", qr.Count, qr.Rows, want)
 	}
 	if qr.Cached || qr.TimedOut {
 		t.Fatalf("unexpected flags in %+v", qr)
@@ -172,8 +189,8 @@ func TestQueryGET(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &qr); err != nil {
 		t.Fatal(err)
 	}
-	if qr.Count != 2 || qr.Solutions[0]["x"] != "alice" || len(qr.Solutions[0]) != 1 {
-		t.Fatalf("solutions = %v", qr.Solutions)
+	if qr.Count != 2 || !reflect.DeepEqual(qr.Vars, []string{"x"}) || !reflect.DeepEqual(qr.Rows[0], []string{"alice"}) {
+		t.Fatalf("vars = %v, rows = %v", qr.Vars, qr.Rows)
 	}
 }
 
@@ -224,8 +241,11 @@ func TestQueryUnknownConstantIsEmpty(t *testing.T) {
 	qr, code := postQuery(t, ts, QueryRequest{
 		Pattern: []PatternJSON{{S: "zeus", P: "knows", O: "?y"}},
 	})
-	if code != http.StatusOK || qr.Count != 0 || qr.Solutions == nil {
-		t.Fatalf("code = %d, resp = %+v; want 200 with empty (non-null) solutions", code, qr)
+	if code != http.StatusOK || qr.Count != 0 || qr.Rows == nil {
+		t.Fatalf("code = %d, resp = %+v; want 200 with empty (non-null) rows", code, qr)
+	}
+	if !reflect.DeepEqual(qr.Vars, []string{"y"}) {
+		t.Fatalf("vars = %v, want the pattern's [y]", qr.Vars)
 	}
 }
 
@@ -378,7 +398,7 @@ func TestSelfCheckRejectsNilProbe(t *testing.T) {
 
 func TestDeadlineExceeded(t *testing.T) {
 	_, ts := newTestServer(t, Config{Store: heavyStore(t), MaxLimit: 1 << 30})
-	qr, code := postQuery(t, ts, QueryRequest{
+	req := QueryRequest{
 		Pattern: []PatternJSON{
 			{S: "?a", P: "?p", O: "?b"},
 			{S: "?b", P: "?q", O: "?c"},
@@ -386,7 +406,8 @@ func TestDeadlineExceeded(t *testing.T) {
 		},
 		Limit:     1 << 30,
 		TimeoutMS: 1,
-	})
+	}
+	qr, code := postQuery(t, ts, req)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -394,20 +415,17 @@ func TestDeadlineExceeded(t *testing.T) {
 		t.Skip("3-hop join finished within 1ms on this machine")
 	}
 	// Partial results with the flag set — the contract for deadline hits.
-	if qr.Count != len(qr.Solutions) {
-		t.Fatalf("count %d != %d solutions", qr.Count, len(qr.Solutions))
+	// Sequential evaluation makes them a prefix of the full answer: the
+	// map encoder's rows for that prefix.
+	var want []map[string]string
+	if qr.Count > 0 { // limit 0 would mean unlimited
+		prefix := QueryRequest{Pattern: req.Pattern}
+		want = mapOracle(t, heavyStore(t), prefix, qr.Count)
 	}
+	checkAgainstOracle(t, "timed out", qr, req, want, true)
 
 	// A timed-out result must not poison the cache.
-	if qr2, _ := postQuery(t, ts, QueryRequest{
-		Pattern: []PatternJSON{
-			{S: "?a", P: "?p", O: "?b"},
-			{S: "?b", P: "?q", O: "?c"},
-			{S: "?c", P: "?r", O: "?d"},
-		},
-		Limit:     1 << 30,
-		TimeoutMS: 1,
-	}); qr2.Cached {
+	if qr2, _ := postQuery(t, ts, req); qr2.Cached {
 		t.Fatal("timed-out result was cached")
 	}
 }
@@ -619,8 +637,8 @@ func TestConcurrentClients(t *testing.T) {
 						t.Errorf("query status = %d", code)
 						return
 					}
-					if qr.Count != len(qr.Solutions) {
-						t.Errorf("inconsistent count %d vs %d", qr.Count, len(qr.Solutions))
+					if qr.Count != len(qr.Rows) {
+						t.Errorf("inconsistent count %d vs %d", qr.Count, len(qr.Rows))
 						return
 					}
 				}

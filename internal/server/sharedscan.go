@@ -5,10 +5,10 @@ package server
 // the first arrival (the leader) runs one engine pass over the union of
 // the group's needs — pattern only, no projection, limit raised to the
 // largest member's offset+limit — and every member carves its own view
-// (offset/limit slice, projection, decode, cache fill) out of the shared
-// solution stream. Followers skip admission entirely, so a thundering
-// herd of identical queries costs one admission slot and one evaluation
-// instead of N.
+// (offset/limit slice, then the solo path's respondRows: projection,
+// encode, cache fill) out of the shared solution stream. Followers skip
+// admission entirely, so a thundering herd of identical queries costs
+// one admission slot and one evaluation instead of N.
 //
 // Grouping is by canonical pattern equality — the degenerate (total)
 // case of prefix sharing: the canonical form is order-insensitive, so
@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/ltj"
@@ -52,10 +51,9 @@ type scanGroup struct {
 	cancel context.CancelFunc
 
 	// Published by the leader before close(done):
-	sols     []graph.Binding
-	stats    ltj.EvalStats
-	timedOut bool
-	err      error // engine error other than timeout
+	sols  []graph.Binding
+	stats ltj.EvalStats
+	err   error // the evaluation's error, ltj.ErrTimeout included
 
 	// Admission failure to mirror to followers (0 = none).
 	failCode   int
@@ -134,10 +132,11 @@ func (sc *sharedScans) finish(key string, g *scanGroup) {
 // trySharedScan routes an eligible cache-miss query through the
 // shared-scan path. It reports whether the request was handled; false
 // means the caller proceeds with the ordinary solo evaluation.
-func (s *Server) trySharedScan(w http.ResponseWriter, r *http.Request, idx index, req *QueryRequest, sel query.Select, cacheKey string, cacheable bool, predVars map[string]bool, start time.Time) bool {
+func (s *Server) trySharedScan(w http.ResponseWriter, r *http.Request, idx index, req *QueryRequest, p *queryPlan) bool {
 	if s.cfg.DisableSharedScan || req.NoCache || req.Distinct || len(req.OrderBy) > 0 {
 		return false
 	}
+	sel := p.sel
 	patKey, ok := (query.Select{Pattern: sel.Pattern}).CacheKey()
 	if !ok {
 		return false
@@ -151,10 +150,10 @@ func (s *Server) trySharedScan(w http.ResponseWriter, r *http.Request, idx index
 		return false
 	}
 	if leader {
-		s.leadScan(w, r, idx, req, sel, key, g, cacheKey, cacheable, predVars, start)
+		s.leadScan(w, r, idx, p, key, g)
 	} else {
 		s.met.sharedFollowers.inc()
-		s.followScan(w, r, idx, req, sel, g, cacheKey, cacheable, predVars, start)
+		s.followScan(w, r, idx, p, g)
 	}
 	return true
 }
@@ -162,7 +161,7 @@ func (s *Server) trySharedScan(w http.ResponseWriter, r *http.Request, idx index
 // leadScan runs the group's single evaluation: admission under the
 // leader's own request context, then the stripped pattern-only Select
 // under the group context, then fan-out.
-func (s *Server) leadScan(w http.ResponseWriter, r *http.Request, idx index, req *QueryRequest, sel query.Select, key string, g *scanGroup, cacheKey string, cacheable bool, predVars map[string]bool, start time.Time) {
+func (s *Server) leadScan(w http.ResponseWriter, r *http.Request, idx index, p *queryPlan, key string, g *scanGroup) {
 	//ringlint:detach -- the group outlives its leader; cancellation is member-count-driven, not request-driven
 	gctx, gcancel := context.WithCancel(context.Background())
 	s.scans.setCancel(g, gcancel)
@@ -198,32 +197,19 @@ func (s *Server) leadScan(w http.ResponseWriter, r *http.Request, idx index, req
 				"server saturated: admission wait timed out", `reason="queue_timeout"`
 		}
 		s.scans.finish(key, g)
-		s.respondFromGroup(w, idx, req, sel, g, cacheKey, cacheable, predVars, start, false)
+		s.respondFromGroup(w, idx, p, g, false)
 		return
 	}
 	defer s.adm.release(s.weight)
 
-	var st ltj.EvalStats
-	run := sel
+	run := p.sel
 	run.Project = nil // members project their own views
 	run.Offset = 0
 	run.Limit = g.need
-	run.Stats = &st
+	run.Stats = &g.stats
 	run.Context = gctx
-	iters := idx.PatternIters()
-	sols, rerr := run.Run(ltj.IndexFunc(iters))
-	s.met.ltjLeaps.add(int64(st.Leaps))
-	s.met.ltjBinds.add(int64(st.Binds))
-	s.met.ltjSeeks.add(int64(st.Seeks))
-	s.met.ltjEnums.add(int64(st.Enumerations))
-	s.met.ltjBatchDescents.add(int64(st.BatchDescents))
-	s.met.ltjBatchEmits.add(int64(st.BatchEmits))
-
-	g.sols, g.stats = sols, st
-	g.timedOut = errors.Is(rerr, ltj.ErrTimeout)
-	if rerr != nil && !g.timedOut {
-		g.err = rerr
-	}
+	g.sols, g.err = run.Run(ltj.IndexFunc(idx.PatternIters()))
+	s.recordEval(g.stats)
 	s.scans.finish(key, g)
 	// fanout is stable after finish: the group has left the registry, so
 	// no further join can touch it. A lone leader is just the solo path
@@ -231,12 +217,12 @@ func (s *Server) leadScan(w http.ResponseWriter, r *http.Request, idx index, req
 	if g.fanout > 0 { //ringlint:allow guardedby -- stable after finish: the group has left the registry
 		s.met.sharedGroups.inc()
 	}
-	s.respondFromGroup(w, idx, req, sel, g, cacheKey, cacheable, predVars, start, false)
+	s.respondFromGroup(w, idx, p, g, false)
 }
 
 // followScan waits for the group's results (or the follower's own client
 // to go away) and renders the follower's view of them.
-func (s *Server) followScan(w http.ResponseWriter, r *http.Request, idx index, req *QueryRequest, sel query.Select, g *scanGroup, cacheKey string, cacheable bool, predVars map[string]bool, start time.Time) {
+func (s *Server) followScan(w http.ResponseWriter, r *http.Request, idx index, p *queryPlan, g *scanGroup) {
 	select {
 	case <-g.done:
 	case <-r.Context().Done():
@@ -245,14 +231,15 @@ func (s *Server) followScan(w http.ResponseWriter, r *http.Request, idx index, r
 		w.WriteHeader(statusClientClosedRequest)
 		return
 	}
-	s.respondFromGroup(w, idx, req, sel, g, cacheKey, cacheable, predVars, start, true)
+	s.respondFromGroup(w, idx, p, g, true)
 }
 
 // respondFromGroup renders one member's response from the published
-// group state: failure mirroring, then the member's offset/limit slice
-// of the shared stream, projected, decoded and cached under the
-// member's own key.
-func (s *Server) respondFromGroup(w http.ResponseWriter, idx index, req *QueryRequest, sel query.Select, g *scanGroup, cacheKey string, cacheable bool, predVars map[string]bool, start time.Time, shared bool) {
+// group state: admission-failure mirroring, then the member's
+// offset/limit slice of the shared stream through respondRows, which
+// projects it (by encoding only the member's columns) and caches it
+// under the member's own key.
+func (s *Server) respondFromGroup(w http.ResponseWriter, idx index, p *queryPlan, g *scanGroup, shared bool) {
 	switch {
 	case g.failCode == statusClientClosedRequest:
 		if shared {
@@ -279,58 +266,19 @@ func (s *Server) respondFromGroup(w http.ResponseWriter, idx index, req *QueryRe
 		w.Header().Set("Retry-After", "1")
 		jsonError(w, g.failCode, g.failMsg)
 		return
-	case g.err != nil:
-		if errors.Is(g.err, ltj.ErrCancelled) {
-			// Only reachable for the leader: a waiting follower keeps the
-			// member count positive, so the group cannot be abandoned
-			// under it.
-			s.met.queries.get(`outcome="cancelled"`).inc()
-			w.WriteHeader(statusClientClosedRequest)
-			return
-		}
-		s.met.queries.get(`outcome="error"`).inc()
-		jsonError(w, http.StatusInternalServerError, g.err.Error())
-		return
 	}
 
 	// The member's slice of the shared stream. The leader evaluated with
 	// offset 0 and limit g.need ≥ sel.Offset+sel.Limit, so the slice is
-	// exactly what an engine-native offset/limit would have produced.
-	sols := g.sols
+	// exactly what an engine-native offset/limit would have produced. A
+	// leader cancelled mid-evaluation surfaces here too: a waiting
+	// follower keeps the member count positive, so only the leader can
+	// see a group abandoned under it.
+	sel, sols := p.sel, g.sols
 	lo := min(sel.Offset, len(sols))
 	hi := len(sols)
 	if sel.Limit > 0 && lo+sel.Limit < hi {
 		hi = lo + sel.Limit
 	}
-	decoded := make([]map[string]string, hi-lo)
-	for i, b := range sols[lo:hi] {
-		m := idx.DecodeBinding(b, predVars)
-		if sel.Project != nil {
-			proj := make(map[string]string, len(sel.Project))
-			for _, v := range sel.Project {
-				if val, ok := m[v]; ok {
-					proj[v] = val
-				}
-			}
-			m = proj
-		}
-		decoded[i] = m
-	}
-	if cacheable && !g.timedOut {
-		s.cache.put(cacheKey, decoded)
-	}
-	elapsed := time.Since(start)
-	s.met.queryDur.observe(elapsed)
-	outcome := `outcome="ok"`
-	if g.timedOut {
-		outcome = `outcome="timeout"`
-	}
-	s.met.queries.get(outcome).inc()
-	s.respond(w, &QueryResponse{
-		Solutions: decoded,
-		TimedOut:  g.timedOut,
-		ElapsedMS: msSince(start),
-		Stats:     statsJSON(g.stats),
-		Shared:    shared,
-	})
+	s.respondRows(w, idx, p, sols[lo:hi], g.err, &g.stats, shared)
 }

@@ -26,7 +26,7 @@ func TestSharedScanConcurrentNoPlug(t *testing.T) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	shared := 0
-	var first []map[string]string
+	var first [][]string
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
@@ -42,9 +42,9 @@ func TestSharedScanConcurrentNoPlug(t *testing.T) {
 				shared++
 			}
 			if first == nil {
-				first = resp.Solutions
-			} else if len(resp.Solutions) != len(first) {
-				t.Errorf("solution count mismatch: %d vs %d", len(resp.Solutions), len(first))
+				first = resp.Rows
+			} else if len(resp.Rows) != len(first) {
+				t.Errorf("row count mismatch: %d vs %d", len(resp.Rows), len(first))
 			}
 		}()
 	}

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -22,7 +22,8 @@ import (
 
 // plugPattern is a 3-hop all-variable join over heavyStore: it cannot
 // finish within its deadline, so it pins the admission slot for exactly
-// TimeoutMS.
+// TimeoutMS — provided the server's MaxLimit does not cap it first, which
+// is why every plugged test raises MaxLimit.
 func plugPattern() []PatternJSON {
 	return []PatternJSON{
 		{S: "?a", P: "?p", O: "?b"},
@@ -96,8 +97,8 @@ func TestSharedScanFanout(t *testing.T) {
 		if r.code != http.StatusOK {
 			t.Fatalf("client %d: status %d", i, r.code)
 		}
-		if !reflect.DeepEqual(r.qr.Solutions, results[0].qr.Solutions) {
-			t.Fatalf("client %d solutions differ from client 0", i)
+		if !sameResult(r.qr, results[0].qr) {
+			t.Fatalf("client %d rows differ from client 0", i)
 		}
 		if r.qr.Shared {
 			shared++
@@ -125,10 +126,11 @@ func TestSharedScanFanout(t *testing.T) {
 
 // TestSharedScanVariantViews: members with different projections, limits
 // and offsets attach to one evaluation and each get exactly what a solo
-// run would have produced.
+// run, and the per-solution map encoder, would have produced.
 func TestSharedScanVariantViews(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Store:         heavyStore(t),
+		MaxLimit:      1 << 30,
 		MaxConcurrent: 1,
 		MaxQueue:      4,
 		QueueWait:     5 * time.Second,
@@ -172,16 +174,19 @@ func TestSharedScanVariantViews(t *testing.T) {
 		}
 	}
 	// Solo oracles: NoCache bypasses the shared path and the engine is
-	// deterministic in sequential mode, so views must match byte for byte.
+	// deterministic in sequential mode, so views must match byte for byte;
+	// and each view must be the map encoder's answer to its own request.
 	for i, v := range variants {
+		checkAgainstOracle(t, fmt.Sprintf("shared variant %d", i), results[i], v,
+			mapOracle(t, heavyStore(t), v, effectiveLimit(v.Limit, 1000, 1<<30)), true)
 		v.NoCache = true
 		solo, code := postQuery(t, ts, v)
 		if code != http.StatusOK {
 			t.Fatalf("variant %d solo: status %d", i, code)
 		}
-		if !reflect.DeepEqual(results[i].Solutions, solo.Solutions) {
-			t.Fatalf("variant %d: shared view differs from solo run:\nshared: %v\nsolo:   %v",
-				i, results[i].Solutions, solo.Solutions)
+		if !sameResult(results[i], solo) {
+			t.Fatalf("variant %d: shared view differs from solo run:\nshared: %v %v\nsolo:   %v %v",
+				i, results[i].Vars, results[i].Rows, solo.Vars, solo.Rows)
 		}
 	}
 }
@@ -192,6 +197,7 @@ func TestSharedScanVariantViews(t *testing.T) {
 func TestSharedScanDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Store:             heavyStore(t),
+		MaxLimit:          1 << 30,
 		MaxConcurrent:     1,
 		MaxQueue:          4,
 		QueueWait:         50 * time.Millisecond,
@@ -264,6 +270,7 @@ func TestSharedScanIneligible(t *testing.T) {
 func TestSharedScanFollowerDisconnect(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Store:         heavyStore(t),
+		MaxLimit:      1 << 30,
 		MaxConcurrent: 1,
 		MaxQueue:      4,
 		QueueWait:     5 * time.Second,
@@ -351,12 +358,12 @@ func TestSharedScanTimeoutFanout(t *testing.T) {
 			if !r.qr.TimedOut {
 				t.Fatalf("member %d: shared but not timed out while the group was", i)
 			}
-			if !reflect.DeepEqual(r.qr.Solutions, results[0].qr.Solutions) {
-				t.Fatalf("member %d: partial solutions differ across the group", i)
+			if !sameResult(r.qr, results[0].qr) {
+				t.Fatalf("member %d: partial rows differ across the group", i)
 			}
 		}
-		if r.qr.Count != len(r.qr.Solutions) {
-			t.Fatalf("member %d: count %d != %d solutions", i, r.qr.Count, len(r.qr.Solutions))
+		if r.qr.Count != len(r.qr.Rows) {
+			t.Fatalf("member %d: count %d != %d rows", i, r.qr.Count, len(r.qr.Rows))
 		}
 	}
 }
@@ -369,6 +376,7 @@ func TestSharedScanTimeoutFanout(t *testing.T) {
 func TestSharedScanLeaderDisconnectShedsFollowers(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Store:         heavyStore(t),
+		MaxLimit:      1 << 30,
 		MaxConcurrent: 1,
 		MaxQueue:      4,
 		QueueWait:     5 * time.Second,

@@ -53,8 +53,10 @@ go test -race -tags ringdebug ./internal/wavelet ./internal/ring ./internal/ltj
 echo "== bench smoke (compile and run every benchmark once)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
-echo "== bench batch (batched vs scalar leapfrog, writes BENCH_batch_leap.json)"
-BENCH_BATCH_JSON="$(pwd)/BENCH_batch_leap.json" go test -run TestRecordBatchLeapBench ./internal/ring
+echo "== bench batch (batched vs scalar leapfrog; the record goes to a temp file, make bench-batch re-records BENCH_batch_leap.json)"
+batch_json=$(mktemp)
+BENCH_BATCH_JSON="$batch_json" go test -count=1 -run TestRecordBatchLeapBench ./internal/ring
+rm -f "$batch_json"
 
 echo "== serve smoke (end-to-end ringserve: query, shed, drain)"
 sh scripts/serve_smoke.sh

@@ -57,7 +57,7 @@ stop_server() {
     SRV_PID=
 }
 
-# static_answer: a deterministic join, canonical because solutions are
+# static_answer: a deterministic join, canonical because rows are
 # fully enumerated sequentially; only the wall-clock field is masked.
 static_answer() {
     curl -fsS -G --data-urlencode 'q=?a p0 ?b ; ?b p1 ?c' \
@@ -98,7 +98,7 @@ start_server -index "$TMP/graph.ring"
 want=$(static_answer)
 stop_server
 case "$want" in
-*'"solutions"'*) ;;
+*'"rows":[['*) ;;
 *)
     echo "mmap-smoke: reference query failed: $want"
     exit 1

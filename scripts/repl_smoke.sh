@@ -119,7 +119,7 @@ fi
 echo "== repl-smoke: read-your-writes on follower (X-Ring-Min-Seq: $SEQ)"
 body=$(curl -fsS -H "X-Ring-Min-Seq: $SEQ" -G --data-urlencode 'q=alice knows ?who' "$FOLLOWER/query")
 case "$body" in
-*'"who":"bob"'*) ;;
+*'"vars":["who"],"rows":[["bob"]]'*) ;;
 *)
     echo "repl-smoke: follower missed the leader's write: $body"
     exit 1
@@ -169,7 +169,7 @@ if [ -z "$NEWSEQ" ] || [ "$NEWSEQ" -le "$SEQ" ]; then
 fi
 body=$(curl -fsS -G --data-urlencode 'q=carol knows ?who' "$FOLLOWER/query")
 case "$body" in
-*'"who":"dave"'*) ;;
+*'"vars":["who"],"rows":[["dave"]]'*) ;;
 *)
     echo "repl-smoke: promoted node lost its own write: $body"
     exit 1

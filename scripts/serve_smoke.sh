@@ -66,9 +66,9 @@ fi
 echo "== serve-smoke: query"
 body=$(curl -fsS -G --data-urlencode 'q=?a p0 ?b' --data 'limit=3' "$BASE/query")
 case "$body" in
-*'"solutions"'*) ;;
+*'"vars":["a","b"],"rows":[['*) ;;
 *)
-    echo "serve-smoke: query response missing solutions: $body"
+    echo "serve-smoke: query response missing columnar rows: $body"
     exit 1
     ;;
 esac
