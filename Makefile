@@ -48,16 +48,19 @@
 #                         leader kill, promote, clean drain
 #   make race-batch  batched lane (wavelet/ring/ltj) under -race with the
 #               ringdebug assertions enabled
+#   make wcobench-smoke  the benchmark's own short test (its own module,
+#               outside `go test ./...`): all three workloads with every
+#               oracle check on, against the working tree's engine (~12s)
 #   make check  fmt + vet + lint + build + test + test-debug + race +
 #               race-batch + bench-smoke + bench-batch-smoke + serve-smoke +
-#               persist-smoke + mmap-smoke + repl-smoke
+#               persist-smoke + mmap-smoke + repl-smoke + wcobench-smoke
 
 GO ?= go
 BENCH_COUNT ?= 1
 
-.PHONY: check fmt vet lint lint-only build test test-debug race race-batch bench bench-smoke bench-substrate bench-serve bench-batch bench-batch-smoke bench-mmap-load serve-smoke persist-smoke mmap-smoke repl-smoke
+.PHONY: check fmt vet lint lint-only build test test-debug race race-batch bench bench-smoke bench-substrate bench-serve bench-batch bench-batch-smoke bench-mmap-load serve-smoke persist-smoke mmap-smoke repl-smoke wcobench-smoke
 
-check: fmt vet lint build test test-debug race race-batch bench-smoke bench-batch-smoke serve-smoke persist-smoke mmap-smoke repl-smoke
+check: fmt vet lint build test test-debug race race-batch bench-smoke bench-batch-smoke serve-smoke persist-smoke mmap-smoke repl-smoke wcobench-smoke
 
 fmt:
 	@unformatted=$$(gofmt -s -l .); \
@@ -131,3 +134,9 @@ mmap-smoke:
 
 repl-smoke:
 	sh scripts/repl_smoke.sh
+
+# The environment wcobench/run.sh builds under: module-local resolution,
+# no proxy, the installed toolchain.
+wcobench-smoke:
+	GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local GOWORK=off \
+		$(GO) -C wcobench test -count=1 ./...

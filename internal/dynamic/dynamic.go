@@ -235,96 +235,147 @@ func ringContains(r *ring.Ring, t graph.Triple) bool {
 // amortised until a flush, which costs one ring construction (off the
 // writer path with Options.Background).
 func (s *Store) Add(t graph.Triple) {
-	s.AddBatch([]graph.Triple{t})
+	s.Apply([]Mutation{{T: t}})
 }
 
-// AddBatch inserts many triples under one lock acquisition and publishes
-// one new epoch — the preferred write path for ingestion layers.
+// AddBatch inserts many triples as one Apply batch.
 func (s *Store) AddBatch(ts []graph.Triple) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.checkOpenLocked()
-	added := false
-	for _, t := range ts {
-		if s.containsLocked(t) {
-			continue
-		}
-		s.mem = append(s.mem, t)
-		s.memSet[t] = struct{}{}
-		s.n++
-		added = true
-		if t.S >= s.numSO {
-			s.numSO = t.S + 1
-		}
-		if t.O >= s.numSO {
-			s.numSO = t.O + 1
-		}
-		if t.P >= s.numP {
-			s.numP = t.P + 1
-		}
+	ms := make([]Mutation, len(ts))
+	for i, t := range ts {
+		ms[i] = Mutation{T: t}
 	}
-	if added {
-		s.publishLocked()
-	}
-	s.maybeFlushLocked()
+	s.Apply(ms)
 }
 
-// Delete removes a triple if present. Removing from the memtable is
-// cheap; removing from a static ring rebuilds that ring (exact but
-// expensive — batch deletions when possible). A delete that targets the
-// chunk frozen for an in-flight background flush waits for that flush to
-// land first.
+// Delete removes a triple if present, as a one-mutation Apply batch.
 func (s *Store) Delete(t graph.Triple) bool {
+	_, deleted := s.Apply([]Mutation{{T: t, Delete: true}})
+	return deleted == 1
+}
+
+// Mutation is one operation of an Apply batch: insert T, or remove it
+// when Delete is set.
+type Mutation struct {
+	T      graph.Triple
+	Delete bool
+}
+
+// Apply applies a batch of inserts and deletes, in order, and publishes
+// it as one epoch: a concurrent reader sees all of the batch or none of
+// it, and Generation advances by one. Inserting a stored triple and
+// deleting an absent one are no-ops; it returns how many triples were
+// inserted and deleted.
+//
+// Removing from the memtable is cheap. Removing from a static ring
+// rebuilds that ring without the batch's deleted triples — once per
+// batch, however many of them it held (exact but expensive: batch
+// deletions when possible). A batch with deletes first waits for any
+// chunk frozen for an in-flight background flush to land as a ring, so
+// every stored triple is in the memtable or a ring while it applies.
+func (s *Store) Apply(ms []Mutation) (inserted, deleted int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.checkOpenLocked()
-	if _, ok := s.memSet[t]; ok {
-		delete(s.memSet, t)
-		// Copy-on-write: readers may alias the published slice.
-		kept := make([]graph.Triple, 0, len(s.mem)-1)
-		for _, m := range s.mem {
-			if m != t {
-				kept = append(kept, m)
+	for _, m := range ms {
+		if m.Delete {
+			for s.frozen != nil {
+				s.cond.Wait()
 			}
-		}
-		s.mem = kept
-		s.n--
-		s.publishLocked()
-		return true
-	}
-	// The frozen chunk is immutable while the compactor builds its ring;
-	// wait for it to land as a ring, then delete through the ring path
-	// (with a single writer the triple cannot move anywhere else).
-	for {
-		if _, ok := s.frozenSet[t]; !ok {
 			break
 		}
-		s.cond.Wait()
 	}
-	for i, r := range s.rings {
-		if !ringContains(r, t) {
-			continue
+	var drop map[int]map[graph.Triple]struct{} // per ring index: triples to rebuild it without
+	memOwned := false                          // s.mem is a private copy, safe to edit in place
+	for _, m := range ms {
+		t := m.T
+		_, inMem := s.memSet[t]
+		_, inFrozen := s.frozenSet[t]
+		ri := -1
+		if !inMem && !inFrozen {
+			ri = s.ringOfLocked(t, drop)
 		}
-		kept := make([]graph.Triple, 0, r.Len()-1)
-		for _, u := range r.Triples() {
-			if u != t {
-				kept = append(kept, u)
+		switch {
+		case !m.Delete:
+			if inMem || inFrozen || ri >= 0 {
+				continue
+			}
+			s.mem = append(s.mem, t)
+			s.memSet[t] = struct{}{}
+			s.n++
+			inserted++
+			s.numSO = max(s.numSO, t.S+1, t.O+1)
+			s.numP = max(s.numP, t.P+1)
+		case inMem:
+			delete(s.memSet, t)
+			if !memOwned {
+				// Copy-on-write: readers may alias the published slice.
+				s.mem = append([]graph.Triple(nil), s.mem...)
+				memOwned = true
+			}
+			for i, u := range s.mem {
+				if u == t {
+					s.mem = append(s.mem[:i], s.mem[i+1:]...)
+					break
+				}
+			}
+			s.n--
+			deleted++
+		case ri >= 0:
+			if drop == nil {
+				drop = map[int]map[graph.Triple]struct{}{}
+			}
+			if drop[ri] == nil {
+				drop[ri] = map[graph.Triple]struct{}{}
+			}
+			drop[ri][t] = struct{}{}
+			s.n--
+			deleted++
+		}
+	}
+	if len(drop) > 0 {
+		nrings := make([]*ring.Ring, 0, len(s.rings))
+		for i, r := range s.rings {
+			gone := drop[i]
+			if len(gone) == 0 {
+				nrings = append(nrings, r)
+				continue
+			}
+			kept := make([]graph.Triple, 0, r.Len()-len(gone))
+			for _, u := range r.Triples() {
+				if _, ok := gone[u]; !ok {
+					kept = append(kept, u)
+				}
+			}
+			if len(kept) > 0 {
+				nrings = append(nrings, ring.New(graph.NewWithDomains(kept, s.numSO, s.numP), s.opt.Ring))
 			}
 		}
-		if len(kept) == 0 {
-			s.rings = append(s.rings[:i:i], s.rings[i+1:]...)
-		} else {
-			g := graph.NewWithDomains(kept, s.numSO, s.numP)
-			nrings := append([]*ring.Ring(nil), s.rings...)
-			nrings[i] = ring.New(g, s.opt.Ring)
-			s.rings = nrings
-		}
-		s.n--
-		s.publishLocked()
-		s.cond.Broadcast()
-		return true
+		s.rings = nrings
 	}
-	return false
+	if inserted+deleted > 0 {
+		s.publishLocked()
+	}
+	if len(drop) > 0 {
+		s.cond.Broadcast()
+	}
+	if inserted > 0 {
+		s.maybeFlushLocked()
+	}
+	return inserted, deleted
+}
+
+// ringOfLocked returns the index of the static ring holding t, or -1 when
+// no ring does or the pending batch drop already removed it there.
+func (s *Store) ringOfLocked(t graph.Triple, drop map[int]map[graph.Triple]struct{}) int {
+	for i, r := range s.rings {
+		if ringContains(r, t) {
+			if _, gone := drop[i][t]; gone {
+				return -1
+			}
+			return i
+		}
+	}
+	return -1
 }
 
 func (s *Store) checkOpenLocked() {

@@ -116,6 +116,68 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// TestApplyBatchOneEpoch: a batch of deletes spread over the memtable
+// and several static rings, with inserts interleaved, is published as
+// one epoch — Generation advances by exactly one — and applies in
+// order: a triple deleted and then re-inserted in the same batch stays,
+// one inserted and then deleted does not.
+func TestApplyBatchOneEpoch(t *testing.T) {
+	s := New(Options{MemtableThreshold: 16, MaxRings: 8})
+	var ts []graph.Triple
+	for i := 0; i < 70; i++ {
+		ts = append(ts, graph.Triple{S: graph.ID(i), P: graph.ID(i % 3), O: graph.ID(i + 1)})
+	}
+	// Each batch reaching the threshold flushes: rings of 20, 20 and 16
+	// triples, and 6 left in the memtable.
+	for _, b := range [][2]int{{0, 20}, {20, 40}, {40, 50}, {50, 56}, {56, 62}} {
+		s.AddBatch(ts[b[0]:b[1]])
+	}
+	if s.Rings() != 3 || s.MemtableLen() != 6 {
+		t.Fatalf("layout: %d rings, %d buffered; want 3 and 6", s.Rings(), s.MemtableLen())
+	}
+	var batch []Mutation
+	want := map[graph.Triple]bool{}
+	for _, tr := range ts[:62] {
+		want[tr] = true
+	}
+	for i := 0; i < 62; i += 5 { // every fifth triple, from every component
+		batch = append(batch, Mutation{T: ts[i], Delete: true})
+		delete(want, ts[i])
+	}
+	fresh := graph.Triple{S: 500, P: 1, O: 501}
+	batch = append(batch,
+		Mutation{T: ts[5]},                // deleted above, re-inserted
+		Mutation{T: fresh},                // inserted ...
+		Mutation{T: fresh, Delete: true},  // ... and deleted again
+		Mutation{T: ts[0], Delete: true},  // already gone in this batch
+		Mutation{T: ts[65], Delete: true}, // never stored
+	)
+	want[ts[5]] = true
+	gen := s.Generation()
+	ins, del := s.Apply(batch)
+	if got := s.Generation() - gen; got != 1 {
+		t.Fatalf("batch advanced Generation by %d, want 1", got)
+	}
+	if ins != 2 || del != 14 {
+		t.Fatalf("Apply = (%d inserted, %d deleted), want (2, 14)", ins, del)
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	got := map[graph.Triple]bool{}
+	for _, tr := range s.Snapshot().Triples() {
+		got[tr] = true
+	}
+	if len(got) != len(want) || s.Len() != len(want) {
+		t.Fatalf("store holds %d triples (Len %d), want %d", len(got), s.Len(), len(want))
+	}
+	for tr := range want {
+		if !got[tr] {
+			t.Fatalf("triple %v missing after the batch", tr)
+		}
+	}
+}
+
 func TestCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	s := New(Options{MemtableThreshold: 16, MaxRings: 5})

@@ -69,9 +69,12 @@ func (e *evaluator) batchRuns(j int, ivs []iterVar) ([]wavelet.MatrixRange, bool
 
 // searchBatched eliminates variable j with one radix intersection of the
 // collected ranges in place of the scalar seek loop. Each emitted value
-// is bound in every iterator and the search recurses, exactly as the
-// scalar loop's per-value body does — Empty() is still consulted, so an
-// index whose LeapRun over-approximates would degrade, not corrupt.
+// is bound in the live iterators and the search recurses, exactly as the
+// scalar loop's per-value body does (bindVar). Dead iterators are not
+// bound, so nothing re-checks an emission against them: a LeapRun that
+// over-approximated would yield wrong solutions, which is why the
+// RunLeaper contract asks for exactly the candidate set. The ringdebug
+// build probes every skipped bind and panics on such an iterator.
 func (e *evaluator) searchBatched(j int, name string, ivs []iterVar, rs []wavelet.MatrixRange) error {
 	e.stats.BatchDescents++
 	var rerr error
@@ -86,25 +89,13 @@ func (e *evaluator) searchBatched(j int, name string, ivs []iterVar, rs []wavele
 			e.debugCheckBatchEmit(ivs, v, prev, havePrev)
 			prev, havePrev = v, true
 		}
-		bound := 0
-		alive := true
-		for _, iv := range ivs {
-			e.stats.Binds++
-			iv.it.Bind(iv.positions[0], v)
-			bound++
-			if iv.it.Empty() {
-				alive = false
-				break
-			}
-		}
+		bound, alive := e.bindVar(ivs, v)
 		if alive {
 			e.binding[name] = v
 			rerr = e.search(j + 1)
 			delete(e.binding, name)
 		}
-		for i := 0; i < bound; i++ {
-			ivs[i].it.Unbind()
-		}
+		unbindVar(ivs, bound)
 		return rerr == nil && !e.stopped
 	})
 	return rerr

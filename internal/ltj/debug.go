@@ -34,3 +34,21 @@ func (e *evaluator) debugCheckBatchEmit(ivs []iterVar, v, prev graph.ID, havePre
 		}
 	}
 }
+
+// debugProbeDeadBind performs, uncounted, the Bind that bindVar and the
+// lonely-variable path skip on a dead iterator, and asserts the value
+// keeps the pattern non-empty. A panic here means an iterator's Leap,
+// Enumerate or LeapRun produced a value its pattern cannot take, which
+// a normal build would report as a solution.
+func debugProbeDeadBind(iv iterVar, v graph.ID) {
+	for _, pos := range iv.positions {
+		iv.it.Bind(pos, v)
+	}
+	empty := iv.it.Empty()
+	for range iv.positions {
+		iv.it.Unbind()
+	}
+	if empty {
+		panic(fmt.Sprintf("ringdebug: ltj: value %d leaves its pattern empty at a skipped (dead) bind — the iterator over-approximated its candidates", v))
+	}
+}

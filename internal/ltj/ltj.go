@@ -12,6 +12,14 @@
 //     repeated leaps;
 //   - result limits and timeouts, as used in the paper's benchmarks.
 //
+// Algorithm 1 binds a variable's value in every iterator that mentions
+// it before descending. The engine binds it only in the iterators a
+// later variable of the order reads again ("live" ones, see bindVar):
+// on the ring each Bind is a backward LF-step, and a binding nothing
+// reads is pure cost. Skipping it changes no result — an iterator's
+// Leap, Enumerate and LeapRun only produce values that keep its pattern
+// non-empty — and no leap, seek or enumeration count.
+//
 // Any index that can implement PatternIter — the ring, flat tries, B+-tree
 // orders — plugs into the same engine, so the experiments compare indexing
 // schemes, not join implementations.
@@ -130,7 +138,12 @@ type Result struct {
 type EvalStats struct {
 	// Leaps is the number of Leap calls issued.
 	Leaps int
-	// Binds is the number of Bind calls issued.
+	// Binds is the number of Bind calls issued by the join: one per
+	// occurrence of a variable's value in each live iterator, i.e. each
+	// iterator that a later variable of the order reads. Iterators no
+	// later variable reads are not bound (see bindVar), nor counted; the
+	// transient binds that verify a variable repeated within one pattern
+	// (leapVar) are not counted either.
 	Binds int
 	// Enumerations is the number of values produced through the
 	// lonely-variable fast path.
@@ -241,14 +254,22 @@ func (e *evaluator) finishErr(err error) error {
 }
 
 // buildVarIters precomputes, per variable of the elimination order, which
-// iterators mention it and at which positions.
+// iterators mention it, at which positions, and whether the iterator is
+// live there: whether a later variable of the order reads it again.
 func buildVarIters(order []string, pats []patternEntry) ([][]iterVar, error) {
+	lastUse := make([]int, len(pats)) // per pattern, the last depth that reads it
+	for j, name := range order {
+		for i := range pats {
+			if len(pats[i].tp.Positions(name)) > 0 {
+				lastUse[i] = j
+			}
+		}
+	}
 	varIters := make([][]iterVar, len(order))
 	for j, name := range order {
 		for i := range pats {
-			pos := pats[i].tp.Positions(name)
-			if len(pos) > 0 {
-				varIters[j] = append(varIters[j], iterVar{it: pats[i].it, positions: pos})
+			if pos := pats[i].tp.Positions(name); len(pos) > 0 {
+				varIters[j] = append(varIters[j], iterVar{it: pats[i].it, positions: pos, live: j < lastUse[i]})
 			}
 		}
 		if len(varIters[j]) == 0 {
@@ -266,6 +287,9 @@ type patternEntry struct {
 type iterVar struct {
 	it        PatternIter
 	positions []graph.Position
+	// live: a later variable of the order reads this iterator, so the
+	// value must be bound in it (bindVar).
+	live bool
 }
 
 type evaluator struct {
@@ -336,12 +360,18 @@ func (e *evaluator) search(j int) error {
 				return false
 			}
 			e.stats.Enumerations++
-			e.stats.Binds++
-			iv.it.Bind(pos, c)
+			if iv.live {
+				e.stats.Binds++
+				iv.it.Bind(pos, c)
+			} else if ringdebugEnabled {
+				debugProbeDeadBind(iv, c)
+			}
 			e.binding[name] = c
 			rerr = e.search(j + 1)
 			delete(e.binding, name)
-			iv.it.Unbind()
+			if iv.live {
+				iv.it.Unbind()
+			}
 			return rerr == nil && !e.stopped
 		})
 		return rerr
@@ -367,35 +397,13 @@ func (e *evaluator) search(j int) error {
 		if !ok {
 			return nil
 		}
-		// Bind v in every iterator at every occurrence.
-		bound := 0
-		alive := true
-		for _, iv := range ivs {
-			for _, pos := range iv.positions {
-				e.stats.Binds++
-				iv.it.Bind(pos, v)
-				bound++
-			}
-			if iv.it.Empty() {
-				alive = false
-				break
-			}
-		}
+		bound, alive := e.bindVar(ivs, v)
 		if alive {
 			e.binding[name] = v
 			err = e.search(j + 1)
 			delete(e.binding, name)
 		}
-		// Unwind this variable's bindings (also on error paths).
-		for _, iv := range ivs {
-			for range iv.positions {
-				if bound == 0 {
-					break
-				}
-				iv.it.Unbind()
-				bound--
-			}
-		}
+		unbindVar(ivs, bound) // also on error paths
 		if err != nil {
 			return err
 		}
@@ -474,5 +482,57 @@ func (e *evaluator) leapVar(iv iterVar, c graph.ID) (graph.ID, bool) {
 			return 0, false // the "c = v + 1" below would wrap to 0
 		}
 		c = v + 1
+	}
+}
+
+// bindVar binds v at every occurrence of one variable in its live
+// iterators, stopping at the first iterator the binding leaves empty. It
+// returns the number of Binds issued, for unbindVar, and whether every
+// bound iterator is still non-empty.
+//
+// Dead iterators — no later variable reads them — are skipped. That
+// loses no check: by the trieiter.Iter contract Leap, Enumerate and
+// LeapRun only produce values that keep the pattern non-empty, and
+// leapVar already verifies variables at several positions of one
+// pattern by binding them. Under the ringdebug tag each skipped bind is
+// still probed (Bind, Empty, Unbind; uncounted), so an iterator that
+// breaks the contract panics instead of yielding wrong solutions.
+//
+//ringlint:hotpath allow-dispatch -- the engine is index-generic; every iterator operation dispatches on PatternIter
+func (e *evaluator) bindVar(ivs []iterVar, v graph.ID) (bound int, alive bool) {
+	for _, iv := range ivs {
+		if !iv.live {
+			if ringdebugEnabled {
+				debugProbeDeadBind(iv, v)
+			}
+			continue
+		}
+		for _, pos := range iv.positions {
+			e.stats.Binds++
+			iv.it.Bind(pos, v)
+			bound++
+		}
+		if iv.it.Empty() {
+			return bound, false
+		}
+	}
+	return bound, true
+}
+
+// unbindVar undoes the first bound Binds that bindVar issued over ivs.
+//
+//ringlint:hotpath allow-dispatch -- the engine is index-generic; every iterator operation dispatches on PatternIter
+func unbindVar(ivs []iterVar, bound int) {
+	for _, iv := range ivs {
+		if !iv.live {
+			continue
+		}
+		for range iv.positions {
+			if bound == 0 {
+				return
+			}
+			iv.it.Unbind()
+			bound--
+		}
 	}
 }

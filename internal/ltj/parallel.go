@@ -234,8 +234,7 @@ func (e *evaluator) produce(ctx context.Context, tasks chan<- []graph.ID) error 
 	}
 
 	// Batched radix-intersection lane, as in search: the intersection's
-	// emissions are exactly the values the seek loop below would accept
-	// (workers re-verify each candidate with Bind+Empty either way).
+	// emissions are exactly the values the seek loop below would accept.
 	if rs, ok := e.batchRuns(0, ivs); ok {
 		e.stats.BatchDescents++
 		var rerr error
@@ -287,8 +286,10 @@ func (e *evaluator) produce(ctx context.Context, tasks chan<- []graph.ID) error 
 }
 
 // drain is a worker's main loop: for every candidate value of the first
-// variable, run the body of search(0)'s per-value step — bind everywhere,
-// descend to depth 1, unwind — on the worker's forked iterators.
+// variable, run the body of search(0)'s per-value step — bind the live
+// iterators (bindVar), descend to depth 1, unwind — on the worker's
+// forked iterators. The workers' varIters carry the same liveness as the
+// sequential evaluator's, so both issue the same Binds.
 func (we *evaluator) drain(tasks <-chan []graph.ID) error {
 	name := we.order[0]
 	ivs := we.varIters[0]
@@ -297,34 +298,14 @@ func (we *evaluator) drain(tasks <-chan []graph.ID) error {
 			if err := we.checkDeadline(); err != nil {
 				return err
 			}
-			bound := 0
-			alive := true
-			for _, iv := range ivs {
-				for _, pos := range iv.positions {
-					we.stats.Binds++
-					iv.it.Bind(pos, v)
-					bound++
-				}
-				if iv.it.Empty() {
-					alive = false
-					break
-				}
-			}
+			bound, alive := we.bindVar(ivs, v)
 			var err error
 			if alive {
 				we.binding[name] = v
 				err = we.search(1)
 				delete(we.binding, name)
 			}
-			for _, iv := range ivs {
-				for range iv.positions {
-					if bound == 0 {
-						break
-					}
-					iv.it.Unbind()
-					bound--
-				}
-			}
+			unbindVar(ivs, bound)
 			if err != nil {
 				return err
 			}

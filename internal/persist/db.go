@@ -485,58 +485,29 @@ func (db *DB) WaitApplied(ctx context.Context, seq uint64) error {
 	}
 }
 
-// applyOps encodes and applies a homogeneous-or-mixed op list in order.
+// applyOps encodes a WAL record's ops and applies them, in order, as one
+// dynamic.Store batch, so readers see the whole record or none of it.
 // Caller holds wmu (or is single-threaded recovery). Returns the number
 // of triples whose presence actually changed.
 func (db *DB) applyOps(ops []Op) int {
-	type encOp struct {
-		kind OpKind
-		t    graph.Triple
-		ok   bool
-	}
-	enc := make([]encOp, len(ops))
+	ms := make([]dynamic.Mutation, 0, len(ops))
 	db.dictMu.Lock()
-	for i, op := range ops {
-		switch op.Kind {
-		case OpInsert:
-			enc[i] = encOp{kind: OpInsert, ok: true, t: graph.Triple{
+	for _, op := range ops {
+		if op.Kind == OpInsert {
+			ms = append(ms, dynamic.Mutation{T: graph.Triple{
 				S: db.d.AddSO(op.S), P: db.d.AddP(op.P), O: db.d.AddSO(op.O),
-			}}
-		default:
-			t := graph.Triple{}
-			s, ok1 := db.d.EncodeSO(op.S)
-			p, ok2 := db.d.EncodeP(op.P)
-			o, ok3 := db.d.EncodeSO(op.O)
-			if ok1 && ok2 && ok3 {
-				t = graph.Triple{S: s, P: p, O: o}
-			}
-			enc[i] = encOp{kind: OpDelete, ok: ok1 && ok2 && ok3, t: t}
+			}})
+			continue
+		}
+		s, ok1 := db.d.EncodeSO(op.S)
+		p, ok2 := db.d.EncodeP(op.P)
+		o, ok3 := db.d.EncodeSO(op.O)
+		if ok1 && ok2 && ok3 { // a term never seen cannot be stored
+			ms = append(ms, dynamic.Mutation{T: graph.Triple{S: s, P: p, O: o}, Delete: true})
 		}
 	}
 	db.dictMu.Unlock()
-
-	before := db.store.Len()
-	deleted := 0
-	batch := make([]graph.Triple, 0, len(enc))
-	flush := func() {
-		if len(batch) > 0 {
-			db.store.AddBatch(batch)
-			batch = batch[:0]
-		}
-	}
-	for _, e := range enc {
-		switch {
-		case e.kind == OpInsert:
-			batch = append(batch, e.t)
-		case e.ok:
-			flush()
-			if db.store.Delete(e.t) {
-				deleted++
-			}
-		}
-	}
-	flush()
-	inserted := db.store.Len() - before + deleted
+	inserted, deleted := db.store.Apply(ms)
 	return inserted + deleted
 }
 

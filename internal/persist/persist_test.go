@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	wcoring "repro"
@@ -561,4 +562,106 @@ func TestDifferential(t *testing.T) {
 	}
 	check("final")
 	db.Close()
+}
+
+// TestDeleteBatchOneGeneration: a /delete of k triples, some still in
+// the memtable and most already flushed into rings, is one WAL record
+// and is published as one epoch.
+func TestDeleteBatchOneGeneration(t *testing.T) {
+	db := openTest(t, t.TempDir(), false)
+	defer db.Close()
+	var ts []dict.StringTriple
+	for i := 0; i < 30; i++ {
+		ts = append(ts, tr(fmt.Sprintf("s%d", i), "p", fmt.Sprintf("o%d", i)))
+		if _, err := db.InsertBatch(ts[i:i+1], false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var del []dict.StringTriple
+	for i := 1; i < 30; i += 3 {
+		del = append(del, ts[i])
+	}
+	gen := db.Generation()
+	n, err := db.DeleteBatch(del, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(del) {
+		t.Fatalf("DeleteBatch removed %d, want %d", n, len(del))
+	}
+	if got := db.Generation() - gen; got != 1 {
+		t.Fatalf("a %d-triple delete advanced Generation by %d, want 1", len(del), got)
+	}
+	if got := countP(t, db, "p"); got != 30-len(del) {
+		t.Fatalf("count = %d, want %d", got, 30-len(del))
+	}
+}
+
+// TestReadersSeeWholeBatches races readers against a writer that inserts
+// k-triple batches and deletes them again once background compaction has
+// moved them into rings. Every batch has its own predicate, so a reader
+// pinning any snapshot must count 0 or k triples for it — never part of
+// a batch. Run under -race it also checks the reader/writer contract.
+func TestReadersSeeWholeBatches(t *testing.T) {
+	db := openTest(t, t.TempDir(), true)
+	defer db.Close()
+	const k, rounds = 5, 200
+	batch := func(r int) []dict.StringTriple {
+		var ts []dict.StringTriple
+		for i := 0; i < k; i++ {
+			ts = append(ts, tr(fmt.Sprintf("s%d", i), fmt.Sprintf("p%d", r), fmt.Sprintf("o%d", r)))
+		}
+		return ts
+	}
+	if _, err := db.InsertBatch(batch(0), false); err != nil {
+		t.Fatal(err)
+	}
+	var written atomic.Int64 // the last batch inserted: readers query batches 0..written
+	stop := make(chan struct{})
+	errCh := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		go func(seed int64) {
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					errCh <- nil
+					return
+				default:
+				}
+				r := rng.Intn(int(written.Load()) + 1)
+				q, _, feasible, err := db.Compile([]wcoring.PatternString{{S: "?x", P: fmt.Sprintf("p%d", r), O: "?y"}})
+				if err != nil || !feasible {
+					errCh <- fmt.Errorf("compile batch %d's pattern: feasible %v, %v", r, feasible, err)
+					return
+				}
+				res, err := db.Snapshot().Evaluate(q, ltj.Options{})
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if got := len(res.Solutions); got != 0 && got != k {
+					errCh <- fmt.Errorf("reader saw %d of batch %d's %d triples", got, r, k)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	for r := 1; r < rounds; r++ {
+		if _, err := db.InsertBatch(batch(r), false); err != nil {
+			t.Fatal(err)
+		}
+		written.Store(int64(r))
+		if r >= 4 {
+			if n, err := db.DeleteBatch(batch(r-4), false); err != nil || n != k {
+				t.Fatalf("DeleteBatch(batch %d) = %d, %v; want %d", r-4, n, err, k)
+			}
+		}
+	}
+	close(stop)
+	for w := 0; w < 2; w++ {
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -28,6 +28,12 @@ type Iter interface {
 	// Leap returns the smallest constant >= c that can bind position pos
 	// while keeping the pattern non-empty, or ok=false if none exists.
 	// pos must be unbound.
+	//
+	// Exactness matters: the engine does not bind a value in an iterator
+	// that no later variable reads, so nothing re-checks such an
+	// iterator's Leap, Enumerate or LeapRun candidates with Bind+Empty.
+	// An implementation that over-approximates yields wrong solutions
+	// (the ringdebug build probes every skipped bind and panics).
 	Leap(pos graph.Position, c graph.ID) (graph.ID, bool)
 	// Bind fixes pos to c, narrowing the match set (possibly to empty).
 	Bind(pos graph.Position, c graph.ID)

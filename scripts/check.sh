@@ -8,7 +8,9 @@
 # checkpointed drain), the zero-copy mmap smoke (layout inspection,
 # decode-vs-mmap differential serving, live mode with view-loaded
 # checkpoints), and the replication smoke (leader + follower, lag to
-# zero, read-your-writes via X-Ring-Min-Seq, leader kill + promote).
+# zero, read-your-writes via X-Ring-Min-Seq, leader kill + promote), and
+# the benchmark's own short test (wcobench is a separate module, so
+# `go test ./...` does not reach it).
 # Equivalent to `make check`; kept as a script for environments
 # without make.
 set -eu
@@ -69,5 +71,8 @@ sh scripts/mmap_smoke.sh
 
 echo "== repl smoke (replication: bootstrap, lag to zero, read-your-writes, promote)"
 sh scripts/repl_smoke.sh
+
+echo "== wcobench smoke (the benchmark's short test: all three workloads, every oracle check on)"
+GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local GOWORK=off go -C wcobench test -count=1 ./...
 
 echo "all checks passed"
